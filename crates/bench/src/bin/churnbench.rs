@@ -71,8 +71,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use rtseed::exec_sim::SimArena;
 use rtseed::policy::AssignmentPolicy;
-use rtseed::serve::{GuardConfig, ServeArena, SessionManager};
+use rtseed::serve::{GuardConfig, SessionManager};
 use rtseed::RunConfig;
 use rtseed_analysis::{
     AdmissionDecision, AdmissionEngine, PartitionHeuristic, ShardedAdmission,
@@ -190,7 +191,7 @@ fn churn_plan(tenants: usize) -> ChurnPlan {
     plan
 }
 
-fn run_churn(p: &ChurnPoint, arena: &mut ServeArena) -> (u64, u64, u64, f64) {
+fn run_churn(p: &ChurnPoint, arena: &mut SimArena) -> (u64, u64, u64, f64) {
     let topo = Topology::new(p.cores, p.smt).expect("non-degenerate");
     let run = RunConfig {
         jobs: p.jobs,
@@ -219,8 +220,8 @@ fn run_churn(p: &ChurnPoint, arena: &mut ServeArena) -> (u64, u64, u64, f64) {
 fn measure_churn(point: ChurnPoint, repeats: usize) -> ChurnMeasured {
     // One arena across warmup + every repeat: after the warmup run parks
     // its buffers, no repeat cold-starts the executor (hot ≡ cold is a
-    // tested contract of `ServeArena`).
-    let mut arena = ServeArena::new();
+    // tested contract of `SimArena`).
+    let mut arena = SimArena::new();
     let (events, jobs, misses, _) = run_churn(&point, &mut arena); // warmup
     let mut walls: Vec<f64> = (0..repeats)
         .map(|_| {
@@ -316,7 +317,7 @@ fn adversary_tasks() -> Vec<TaskSpec> {
 /// hundred µs past their deadline, so `misses` is small but non-zero and
 /// the ladder's shed → recover hysteresis is exercised on well-behaved
 /// tenants too (visible as `recoveries > 0`).
-fn run_storm(p: &StormPoint, arena: &mut ServeArena) -> (StormStats, f64) {
+fn run_storm(p: &StormPoint, arena: &mut SimArena) -> (StormStats, f64) {
     let topo = Topology::new(p.cores, p.smt).expect("non-degenerate");
     let mut plan = ChaosPlan::adversarial_storm(
         p.seed,
@@ -384,7 +385,7 @@ fn run_storm(p: &StormPoint, arena: &mut ServeArena) -> (StormStats, f64) {
 }
 
 fn measure_storm(point: StormPoint, repeats: usize) -> StormMeasured {
-    let mut arena = ServeArena::new();
+    let mut arena = SimArena::new();
     let (stats, _) = run_storm(&point, &mut arena); // warmup
     let mut walls: Vec<f64> = (0..repeats)
         .map(|_| {

@@ -29,10 +29,13 @@
 //! this module is a *driver* that owns only the discrete-event mechanism —
 //! the event queue, per-CPU ready queues and preemption, and the
 //! [`OverheadModel`] whose RNG stream is sampled in exactly the order the
-//! protocol performs the underlying actions.
+//! protocol performs the underlying actions. The mechanism exists once:
+//! [`SimExecutor`] runs a fixed task set on it, and the serving layer's
+//! [`SessionManager`](crate::serve::SessionManager) steps the same driver
+//! between tenant arrivals and departures. Both recycle one [`SimArena`].
 
-use rtseed_model::{HwThreadId, Priority, Span, Time};
-use rtseed_sim::{EventQueue, FifoReadyQueue, OverheadKind, OverheadModel};
+use rtseed_model::{HwThreadId, Priority, QosSummary, Span, TenantId, Time, Topology};
+use rtseed_sim::{EventQueue, FaultPlan, FifoReadyQueue, OverheadKind, OverheadModel};
 
 use crate::config::SystemConfig;
 use crate::engine::{AfterMandatory, Cursor, Engine, OdAction, WindupCommand};
@@ -73,18 +76,20 @@ struct Cpu {
     stalled: u32,
 }
 
-/// Reusable per-worker scratch for [`SimExecutor::run_in`].
+/// Reusable per-worker scratch for [`SimExecutor::run_in`] and the serving
+/// layer's [`SessionManager::new_in`](crate::serve::SessionManager::new_in).
 ///
-/// Holds everything a simulation run allocates on its hot path — the
-/// event-queue slab, the per-CPU ready queues, the Δb signal buffer and a
-/// recycled [`Engine`] (task vector, supervisor, recorder ring) — so a
-/// worker pool can execute thousands of runs with a handful of allocations
-/// per worker instead of a handful per run.
+/// Holds everything a run allocates on its hot path — the event-queue
+/// slab, the per-CPU ready queues, the Δb signal buffer and a recycled
+/// [`Engine`] (task vector, supervisor, recorder ring) — so a worker pool
+/// can execute thousands of runs or sessions with a handful of allocations
+/// per worker instead of a handful per run. One arena may serve both
+/// clients in any order.
 ///
 /// The arena carries **no cross-run state**: every buffer is cleared (or
 /// rebuilt from the new configuration) before the next run touches it, so
-/// `run_in` with a hot arena is byte-identical to a cold [`SimExecutor::run`]
-/// — a contract the differential tests below pin down.
+/// a run over a hot arena is byte-identical to a cold one — a contract the
+/// differential tests below and in the serving suite pin down.
 #[derive(Debug, Default)]
 pub struct SimArena {
     events: EventQueue<Event>,
@@ -131,9 +136,28 @@ impl SimExecutor {
     /// buffers for the duration of the run and returns them (grown, never
     /// carrying state) before producing the [`Outcome`].
     pub fn run_in(&self, arena: &mut SimArena) -> Outcome {
-        let mut sim = SimState::from_arena(&self.config, &self.run_cfg, arena);
-        sim.run();
-        sim.into_outcome(arena)
+        let (cfg, run) = (&self.config, &self.run_cfg);
+        let mut sim = SimState::take(arena, *cfg.topology(), run, |parked| match parked {
+            Some(mut eng) => {
+                eng.reset(cfg, run);
+                eng
+            }
+            None => Engine::new(cfg, run),
+        });
+        if run.jobs > 0 {
+            // One decision event per task records where the assignment
+            // policy placed its optional parts (paper Fig. 8).
+            sim.eng.trace_policy_decisions(cfg);
+            for task in 0..sim.eng.task_count() {
+                sim.push_release(task);
+            }
+            // Planned CPU stall windows enter the same event queue as
+            // everything else, so a faulted run replays exactly like a
+            // healthy one.
+            sim.push_stalls(&run.fault_plan);
+            while sim.eng.has_live_tasks() && sim.step() {}
+        }
+        sim.park(arena).0
     }
 }
 
@@ -152,12 +176,21 @@ impl Executor for SimExecutor {
     }
 }
 
-struct SimState<'a> {
-    run: &'a RunConfig,
-    now: Time,
+/// The discrete-event driver: event queue, per-CPU SCHED_FIFO ready
+/// queues, the overhead model and the [`Engine`] they feed.
+///
+/// Clients push releases and stall windows, then [`SimState::step`] one
+/// event at a time; equal-time events pop in push order. A client may
+/// advance [`SimState::now`] between steps (the serving layer does, for
+/// churn and deferred retries), but never past [`SimState::peek_time`].
+#[derive(Debug)]
+pub(crate) struct SimState {
+    /// The current simulated time.
+    pub(crate) now: Time,
+    /// The protocol state machine the mechanism drives.
+    pub(crate) eng: Engine,
     events: EventQueue<Event>,
     cpus: Vec<Cpu>,
-    eng: Engine,
     model: OverheadModel,
     gen_counter: u64,
     events_processed: u64,
@@ -166,13 +199,18 @@ struct SimState<'a> {
     signal_scratch: Vec<Time>,
 }
 
-impl<'a> SimState<'a> {
-    /// Builds run state on top of `arena`'s recycled buffers: the event
-    /// queue and ready queues are cleared, the CPU vector is resized to the
-    /// new topology, and the engine (if one is parked in the arena) is
-    /// reset in place instead of reallocated.
-    fn from_arena(cfg: &'a SystemConfig, run: &'a RunConfig, arena: &mut SimArena) -> SimState<'a> {
-        let topology = *cfg.topology();
+impl SimState {
+    /// Builds a driver on top of `arena`'s recycled buffers: the event
+    /// queue and ready queues are cleared and the CPU vector is resized to
+    /// `topology`. `engine` turns the engine parked in the arena (if any)
+    /// into the one for this run, resetting it in place instead of
+    /// reallocating.
+    pub(crate) fn take(
+        arena: &mut SimArena,
+        topology: Topology,
+        run: &RunConfig,
+        engine: impl FnOnce(Option<Engine>) -> Engine,
+    ) -> SimState {
         let mut events = std::mem::take(&mut arena.events);
         events.clear();
         let mut cpus = std::mem::take(&mut arena.cpus);
@@ -184,24 +222,11 @@ impl<'a> SimState<'a> {
         cpus.resize_with(topology.hw_threads() as usize, Cpu::default);
         let mut signal_scratch = std::mem::take(&mut arena.signal_scratch);
         signal_scratch.clear();
-        let mut eng = match arena.engine.take() {
-            Some(mut eng) => {
-                eng.reset(cfg, run);
-                eng
-            }
-            None => Engine::new(cfg, run),
-        };
-        if run.jobs > 0 {
-            // One decision event per task records where the assignment
-            // policy placed its optional parts (paper Fig. 8).
-            eng.trace_policy_decisions(cfg);
-        }
         SimState {
-            run,
             now: Time::ZERO,
+            eng: engine(arena.engine.take()),
             events,
             cpus,
-            eng,
             model: OverheadModel::new(run.calibration, topology, run.load, run.seed),
             gen_counter: 0,
             events_processed: 0,
@@ -210,8 +235,9 @@ impl<'a> SimState<'a> {
     }
 
     /// Extracts the run's measurements and parks every buffer (and the
-    /// engine) back in `arena` for the next run.
-    fn into_outcome(self, arena: &mut SimArena) -> Outcome {
+    /// engine) back in `arena` for the next run. Also returns the
+    /// per-tenant QoS accounting, which only the serving layer fills.
+    pub(crate) fn park(self, arena: &mut SimArena) -> (Outcome, Vec<(TenantId, QosSummary)>) {
         let SimState {
             mut eng,
             now,
@@ -226,7 +252,7 @@ impl<'a> SimState<'a> {
         arena.cpus = cpus;
         arena.signal_scratch = signal_scratch;
         arena.engine = Some(eng);
-        Outcome {
+        let outcome = Outcome {
             overheads: out.overheads,
             qos: out.qos,
             trace: out.trace,
@@ -234,25 +260,30 @@ impl<'a> SimState<'a> {
             faults: out.faults,
             events_processed,
             ..Default::default()
-        }
+        };
+        (outcome, out.tenant_qos)
     }
 
-    fn run(&mut self) {
-        if self.run.jobs == 0 {
-            return;
-        }
-        for t in 0..self.eng.task_count() {
-            self.events.push(
-                Time::ZERO,
-                Event::Release {
-                    task: t,
-                    retried: false,
-                },
-            );
-        }
-        // Planned CPU stall windows enter the same event queue as everything
-        // else, so a faulted run replays exactly like a healthy one.
-        for stall in self.run.fault_plan.stalls() {
+    /// The time of the next queued event, if any.
+    pub(crate) fn peek_time(&self) -> Option<Time> {
+        self.events.peek_time()
+    }
+
+    /// Queues the first release of engine task `task` at the current time.
+    pub(crate) fn push_release(&mut self, task: usize) {
+        self.events.push(
+            self.now,
+            Event::Release {
+                task,
+                retried: false,
+            },
+        );
+    }
+
+    /// Queues `plan`'s CPU stall windows; windows on hardware threads the
+    /// topology lacks are ignored.
+    pub(crate) fn push_stalls(&mut self, plan: &FaultPlan) {
+        for stall in plan.stalls() {
             let hw = stall.hw as usize;
             if hw >= self.cpus.len() {
                 continue;
@@ -267,28 +298,31 @@ impl<'a> SimState<'a> {
             self.events
                 .push(stall.at + stall.duration, Event::StallEnd { hw });
         }
-        while self.eng.has_live_tasks() {
-            let Some((at, event)) = self.events.pop() else {
-                break;
-            };
-            debug_assert!(at >= self.now, "event time went backwards");
-            self.now = at;
-            self.events_processed += 1;
-            match event {
-                Event::Release { task, retried } => self.on_release_inner(task, retried),
-                Event::Ready { work } => self.on_ready(work),
-                Event::Complete { hw, gen } => self.on_complete(hw, gen),
-                Event::OdExpire { task, seq } => self.on_od_expire(task, seq),
-                Event::WindupReady { task, seq } => self.on_windup_ready(task, seq),
-                Event::StallStart { hw, duration } => self.on_stall_start(hw, duration),
-                Event::StallEnd { hw } => self.on_stall_end(hw),
-            }
+    }
+
+    /// Pops and handles the next event; `false` when the queue is empty.
+    pub(crate) fn step(&mut self) -> bool {
+        let Some((at, event)) = self.events.pop() else {
+            return false;
+        };
+        debug_assert!(at >= self.now, "event time went backwards");
+        self.now = at;
+        self.events_processed += 1;
+        match event {
+            Event::Release { task, retried } => self.on_release(task, retried),
+            Event::Ready { work } => self.on_ready(work),
+            Event::Complete { hw, gen } => self.on_complete(hw, gen),
+            Event::OdExpire { task, seq } => self.on_od_expire(task, seq),
+            Event::WindupReady { task, seq } => self.on_windup_ready(task, seq),
+            Event::StallStart { hw, duration } => self.on_stall_start(hw, duration),
+            Event::StallEnd { hw } => self.on_stall_end(hw),
         }
+        true
     }
 
     // ----- event handlers -------------------------------------------------
 
-    fn on_release_inner(&mut self, task: usize, retried: bool) {
+    fn on_release(&mut self, task: usize, retried: bool) {
         // A job may complete at the very instant of the next release; the
         // completion event is already queued ahead of us (FIFO), so requeue
         // the release once to let it land before declaring an overrun.
@@ -308,8 +342,8 @@ impl<'a> SimState<'a> {
             if self.eng.job_in_flight(task) {
                 self.abort_job(task);
             }
-            if self.eng.jobs_done(task) >= self.run.jobs {
-                return;
+            if self.eng.task_retired(task) {
+                return; // quota exhausted or the tenant departed
             }
         }
 
@@ -351,6 +385,11 @@ impl<'a> SimState<'a> {
     }
 
     fn on_ready(&mut self, work: Work) {
+        // A serving tenant may have departed between signalling and
+        // readiness.
+        if self.eng.task_retired(work.task) && !self.eng.job_in_flight(work.task) {
+            return;
+        }
         let (hw, prio) = match work.cursor {
             Cursor::Mandatory => {
                 (self.eng.mandatory_hw(work.task), self.eng.mand_prio(work.task))
@@ -535,8 +574,9 @@ impl<'a> SimState<'a> {
 
     // ----- helpers --------------------------------------------------------
 
-    /// Forcibly ends a job that is still incomplete at its next release.
-    fn abort_job(&mut self, task: usize) {
+    /// Forcibly ends `task`'s in-flight job: at its next release (a hard
+    /// deadline miss) or when its serving tenant leaves.
+    pub(crate) fn abort_job(&mut self, task: usize) {
         // Scrub real-time work (the wind-up may live on a federated
         // task's granted core rather than the mandatory CPU).
         let mand_hw = self.eng.mandatory_hw(task);

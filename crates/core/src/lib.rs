@@ -100,8 +100,8 @@ pub use policy::AssignmentPolicy;
 pub use priority::PriorityMap;
 pub use report::{FaultReport, OverheadReport};
 pub use serve::{
-    GuardConfig, GuardStats, LadderRung, RejectReason, ServeArena, ServeCounters, ServeError,
-    ServeOutcome, SessionManager, Submission, TenantOutcome,
+    GuardConfig, GuardStats, LadderRung, RejectReason, ServeCounters, ServeError, ServeOutcome,
+    SessionManager, Submission, TenantOutcome,
 };
 pub use supervisor::{OverloadMode, OverloadSupervisor, SupervisorConfig};
 pub use termination::TerminationMode;

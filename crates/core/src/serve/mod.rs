@@ -26,24 +26,29 @@
 //! working across tenants, so a misbehaving tenant degrades into
 //! optional-part shedding rather than taking down its neighbours.
 //!
-//! The scheduling substrate is the *same* discrete-event mechanism as
-//! [`SimExecutor`](crate::exec_sim::SimExecutor) — per-CPU SCHED_FIFO
-//! ready queues, the deterministic event queue, and the calibrated
-//! [`OverheadModel`](rtseed_sim::OverheadModel) sampled in protocol order
-//! — driving the shared sans-IO engine with dynamic task arrival and
-//! departure.
+//! The scheduling substrate is the discrete-event driver of
+//! [`exec_sim`](crate::exec_sim) itself, the one
+//! [`SimExecutor`](crate::exec_sim::SimExecutor) runs on: per-CPU
+//! SCHED_FIFO ready queues, the deterministic event queue, and the
+//! calibrated [`OverheadModel`](rtseed_sim::OverheadModel) sampled in
+//! protocol order, driving the shared sans-IO engine. The session pushes
+//! a task's first release when its tenant is admitted, steps the driver
+//! one event at a time, and interleaves churn and deferred retries
+//! between steps. Sessions recycle the same
+//! [`SimArena`](crate::exec_sim::SimArena) the simulator does.
 //!
 //! ## Priorities across tenants
 //!
 //! The offline [`PriorityMap`](crate::PriorityMap) ranks a *closed* task
 //! set. Tenants arrive one at a time, so the serving layer instead maps
 //! each task's period onto a stable RTQ level by period magnitude
-//! ([`mandatory_priority_for_period`]): shorter periods get strictly
-//! higher levels, which agrees with the Rate Monotonic order the
-//! admission test analyzes. Tasks whose periods fall into the same
-//! power-of-two bucket share a level and serialize FIFO there — bounded
-//! level inversion the test does not model, mirroring RT-Seed's own
-//! finite RTQ band.
+//! ([`mandatory_priority_for_period`]): a shorter period never gets a
+//! lower level, but periods in one power-of-two bucket share a level and
+//! serialize FIFO there. The admission test's RTA assumes a strict Rate
+//! Monotonic order on each CPU and does not model that sharing, so two
+//! same-bucket tasks on one CPU (T = 16 ms and T = 9 ms both land on
+//! level 94) can be admitted and still miss deadlines. Fixing this is
+//! ROADMAP open item 1.
 //!
 //! ## Fault isolation
 //!
@@ -126,7 +131,9 @@ pub use guard::{
     Submission,
 };
 pub use outcome::{ServeCounters, ServeOutcome, TenantOutcome};
-pub use session::{mandatory_priority_for_period, ServeArena, SessionManager};
+pub use session::{mandatory_priority_for_period, SessionManager};
+// The one arena type, under the name existing serving callers use.
+pub use crate::exec_sim::SimArena as ServeArena;
 
 #[cfg(test)]
 mod tests {
