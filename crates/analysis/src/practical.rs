@@ -116,7 +116,7 @@ impl PracticalAnalysis {
                 let od = if remaining.is_zero() {
                     spec.deadline()
                 } else {
-                    let r_rem = response_time(remaining, &hp, spec.deadline()).map_err(
+                    let r_rem = response_time(remaining, &hp, spec.deadline(), Span::ZERO).map_err(
                         |source| PracticalError::Unschedulable {
                             task: id,
                             stage: j,
@@ -127,7 +127,7 @@ impl PracticalAnalysis {
                 };
                 let prefix = spec.mandatory_through(j);
                 let r_prefix =
-                    response_time(prefix, &hp, od).map_err(|source| {
+                    response_time(prefix, &hp, od, Span::ZERO).map_err(|source| {
                         PracticalError::Unschedulable {
                             task: id,
                             stage: j,

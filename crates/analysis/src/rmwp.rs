@@ -97,13 +97,12 @@ impl RmwpAnalysis {
                 })
                 .collect();
 
-            let rw = response_time(spec.windup(), &hp, spec.deadline()).map_err(|source| {
-                RmwpError::Unschedulable {
+            let rw = response_time(spec.windup(), &hp, spec.deadline(), Span::ZERO)
+                .map_err(|source| RmwpError::Unschedulable {
                     task: id,
                     part: UnschedulablePart::Windup,
                     source,
-                }
-            })?;
+                })?;
             let od = spec.deadline() - rw;
 
             // A task without optional parts and without a wind-up part is a
@@ -114,7 +113,7 @@ impl RmwpAnalysis {
             } else {
                 od
             };
-            let rm = response_time(spec.mandatory(), &hp, rm_bound).map_err(|source| {
+            let rm = response_time(spec.mandatory(), &hp, rm_bound, Span::ZERO).map_err(|source| {
                 RmwpError::Unschedulable {
                     task: id,
                     part: UnschedulablePart::Mandatory,
@@ -244,21 +243,73 @@ pub fn analyze_ordered(tasks: &[BinTask]) -> Result<Vec<BinFix>, usize> {
     let mut out = Vec::with_capacity(tasks.len());
     let mut hp: Vec<Interferer> = Vec::with_capacity(tasks.len());
     for (rank, t) in tasks.iter().enumerate() {
-        let rw = response_time(t.windup, &hp, t.deadline).map_err(|_| rank)?;
-        let od = t.deadline - rw;
-        let rm_bound = if t.deadline_only { t.deadline } else { od };
-        let rm = response_time(t.mandatory, &hp, rm_bound).map_err(|_| rank)?;
-        out.push(BinFix {
+        out.push(t.solve(&hp, Span::ZERO, Span::ZERO).map_err(|_| rank)?);
+        hp.push(t.interferer());
+    }
+    Ok(out)
+}
+
+impl BinTask {
+    /// The interference this entry charges every lower-priority entry of
+    /// its bin: its real-time demand `m + w` per `arrival`.
+    pub(crate) fn interferer(&self) -> Interferer {
+        Interferer {
+            period: self.arrival,
+            demand: self.mandatory + self.windup,
+        }
+    }
+
+    /// This entry's fixpoints under the higher-priority interferers `hp`,
+    /// the per-entry step of [`analyze_ordered`]. The wind-up and
+    /// mandatory iterations start from `windup_start` and
+    /// `mandatory_start`, which must not exceed the respective least
+    /// fixpoints ([`Span::ZERO`] for a cold solve; see [`response_time`]).
+    pub(crate) fn solve(
+        &self,
+        hp: &[Interferer],
+        windup_start: Span,
+        mandatory_start: Span,
+    ) -> Result<BinFix, RtaError> {
+        let rw = response_time(self.windup, hp, self.deadline, windup_start)?;
+        let od = self.deadline - rw;
+        let rm_bound = if self.deadline_only { self.deadline } else { od };
+        let rm = response_time(self.mandatory, hp, rm_bound, mandatory_start)?;
+        Ok(BinFix {
             mandatory_response: rm,
             windup_response: rw,
             optional_deadline: od,
-        });
-        hp.push(Interferer {
-            period: t.arrival,
-            demand: t.mandatory + t.windup,
-        });
+        })
     }
-    Ok(out)
+
+    /// Lower bounds on this entry's wind-up and mandatory responses once
+    /// `extra` joins its higher-priority interferers, given its fixpoints
+    /// `old` without it.
+    ///
+    /// Adding an interferer raises the RTA operator pointwise, so each new
+    /// least fixpoint `R'` is at least the old one `R`, and hence at least
+    /// one step of the raised operator from it:
+    /// `R' ≥ R + max(1, ⌈R / A⌉)·C` for `extra = (A, C)`. Returns the two
+    /// bounds — valid warm starts for [`BinTask::solve`] — or `None` when
+    /// they already break the entry's deadlines (`R^w > D`, or `R^m`
+    /// above `D − R^w`, resp. `D` for a deadline-only entry), in which case
+    /// `solve` under the enlarged set fails too. Overflow counts as
+    /// breaking, as it does in [`response_time`].
+    pub(crate) fn raised_bounds(&self, old: &BinFix, extra: Interferer) -> Option<(Span, Span)> {
+        let raise = |r: Span| {
+            extra
+                .demand
+                .checked_mul(r.div_ceil(extra.period).max(1))
+                .and_then(|d| r.checked_add(d))
+        };
+        let rw = raise(old.windup_response).filter(|&rw| rw <= self.deadline)?;
+        let rm_bound = if self.deadline_only {
+            self.deadline
+        } else {
+            self.deadline - rw
+        };
+        let rm = raise(old.mandatory_response).filter(|&rm| rm <= rm_bound)?;
+        Some((rw, rm))
+    }
 }
 
 /// Which real-time part failed the schedulability test.

@@ -37,8 +37,8 @@ proptest! {
             demand: Span::from_micros(10),
         }];
         let bound = Span::from_millis(100);
-        let r1 = response_time(Span::from_micros(c1), &hp, bound);
-        let r2 = response_time(Span::from_micros(c1 + extra), &hp, bound);
+        let r1 = response_time(Span::from_micros(c1), &hp, bound, Span::ZERO);
+        let r2 = response_time(Span::from_micros(c1 + extra), &hp, bound, Span::ZERO);
         if let (Ok(r1), Ok(r2)) = (r1, r2) {
             prop_assert!(r2 >= r1);
         }
@@ -51,8 +51,24 @@ proptest! {
             Interferer { period: Span::from_micros(100), demand: Span::from_micros(7) },
             Interferer { period: Span::from_micros(300), demand: Span::from_micros(11) },
         ];
-        if let Ok(r) = response_time(Span::from_nanos(cost), &hp, Span::from_secs(1)) {
+        if let Ok(r) = response_time(Span::from_nanos(cost), &hp, Span::from_secs(1), Span::ZERO) {
             prop_assert!(r >= Span::from_nanos(cost) + Span::from_micros(18));
+        }
+    }
+
+    /// A warm start anywhere at or below the least fixpoint converges to
+    /// exactly the cold-start answer.
+    #[test]
+    fn rta_warm_start_reaches_cold_fixpoint(cost in 1u64..40_000, back in 0u64..200_000) {
+        let hp = [
+            Interferer { period: Span::from_micros(100), demand: Span::from_micros(7) },
+            Interferer { period: Span::from_micros(300), demand: Span::from_micros(11) },
+            Interferer { period: Span::from_micros(1_000), demand: Span::from_micros(90) },
+        ];
+        let (cost, bound) = (Span::from_nanos(cost), Span::from_millis(1));
+        if let Ok(r) = response_time(cost, &hp, bound, Span::ZERO) {
+            let start = r.saturating_sub(Span::from_nanos(back));
+            prop_assert_eq!(response_time(cost, &hp, bound, start), Ok(r));
         }
     }
 

@@ -915,8 +915,7 @@ fn main() -> ExitCode {
         // Correctness is not optional at any scale: a fingerprint mismatch
         // means the incremental admission path diverged from the full-RTA
         // ground truth, so every sweep (with or without --check, including
-        // the non-CI --tenants 10000 run documented in EXPERIMENTS.md)
-        // fails hard on it.
+        // the --tenants 10000 rejection-path run in CI) fails hard on it.
         if inc.fingerprint != full.fingerprint {
             eprintln!(
                 "churnbench: FATAL — incremental fingerprint {:016x} != \

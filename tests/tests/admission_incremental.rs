@@ -15,24 +15,36 @@ use rtseed_analysis::{
 };
 use rtseed_model::{Span, TaskId, TaskSet, TaskSpec};
 
-/// A small palette of schedulable shapes; (period, mandatory, windup) in
-/// milliseconds. Mixed periods exercise the RM ordering, mixed weights
-/// exercise rejection and OD shrink/growth.
-const PALETTE: [(u64, u64, u64); 6] = [
-    (50, 2, 2),
-    (100, 5, 5),
-    (100, 15, 15),
-    (200, 10, 10),
-    (400, 40, 40),
-    (100, 30, 30), // 0.6 utilization: at most one per CPU
+/// A palette of schedulable shapes; (period, mandatory, windup) in
+/// microseconds. Mixed periods exercise the RM ordering, mixed weights
+/// exercise rejection and OD shrink/growth. The first six are harmonic;
+/// the rest mimic desk-churn's desks — 2–256 ms periods, one per log₂
+/// bucket, each with a fractional offset — plus one deadline-only shape
+/// (no wind-up, no optional part), so warm starts and the probe's lower
+/// bound meet non-harmonic interference.
+const PALETTE: [(u64, u64, u64); 14] = [
+    (50_000, 2_000, 2_000),
+    (100_000, 5_000, 5_000),
+    (100_000, 15_000, 15_000),
+    (200_000, 10_000, 10_000),
+    (400_000, 40_000, 40_000),
+    (100_000, 30_000, 30_000), // 0.6 utilization: at most one per CPU
+    (2_730, 109, 109),
+    (5_432, 217, 217),
+    (11_904, 952, 476),
+    (16_600, 664, 664),
+    (45_952, 3_676, 1_838),
+    (97_216, 3_889, 3_889),
+    (255_744, 20_460, 10_230),
+    (7_321, 1_464, 0), // deadline-only
 ];
 
 fn spec_from_palette(name: &str, shape: usize) -> TaskSpec {
     let (t, m, w) = PALETTE[shape % PALETTE.len()];
     TaskSpec::builder(name)
-        .period(Span::from_millis(t))
-        .mandatory(Span::from_millis(m))
-        .windup(Span::from_millis(w))
+        .period(Span::from_micros(t))
+        .mandatory(Span::from_micros(m))
+        .windup(Span::from_micros(w))
         .build()
         .unwrap()
 }
@@ -207,6 +219,24 @@ proptest! {
     fn incremental_admission_equals_full_recompute_ffd(raw in raw_ops(24)) {
         let ops: Vec<Op> = raw.into_iter().map(decode_op).collect();
         run_differential(&ops, 4, PartitionHeuristic::FirstFitDecreasing);
+    }
+
+    /// The same lockstep differential under every packing heuristic on
+    /// one to eight CPUs: best-fit and worst-fit reorder the candidate
+    /// CPUs by utilization on every placement, first-fit by index.
+    #[test]
+    fn incremental_admission_equals_full_recompute_every_heuristic(
+        raw in raw_ops(32),
+        cpus in 1usize..9,
+    ) {
+        let ops: Vec<Op> = raw.into_iter().map(decode_op).collect();
+        for heuristic in [
+            PartitionHeuristic::FirstFitDecreasing,
+            PartitionHeuristic::BestFitDecreasing,
+            PartitionHeuristic::WorstFitDecreasing,
+        ] {
+            run_differential(&ops, cpus, heuristic);
+        }
     }
 
     /// Sharded batches: the OS-thread fan-out never changes a decision —
